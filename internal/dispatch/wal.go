@@ -2,8 +2,10 @@ package dispatch
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -94,13 +96,51 @@ type FileWAL struct {
 }
 
 // OpenFileWAL opens (creating if needed) the journal at path in append
-// mode. Existing records are preserved; Replay reads them.
+// mode. Existing records are preserved; Replay reads them. A torn tail
+// left by a crash mid-append is cut off first: the file is truncated to
+// the end of its last complete, decodable line, so records appended after
+// a restart follow the durable ones instead of hiding behind the
+// fragment, where Replay would never reach them.
 func OpenFileWAL(path string) (*FileWAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: open wal: %w", err)
 	}
+	if err := truncateTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dispatch: open wal: %w", err)
+	}
 	return &FileWAL{path: path, f: f}, nil
+}
+
+// truncateTornTail cuts f after its last complete, decodable line —
+// where Replay stops reading — and syncs the cut.
+func truncateTornTail(f *os.File) error {
+	r := bufio.NewReader(f)
+	var valid int64
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if len(line) == 0 {
+				return nil // the log ends on a complete line
+			}
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if body := bytes.TrimRight(line, "\r\n"); len(body) > 0 {
+			var rec Record
+			if json.Unmarshal(body, &rec) != nil {
+				break
+			}
+		}
+		valid += int64(len(line))
+	}
+	if err := f.Truncate(valid); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append writes r as one JSON line and syncs it to stable storage.

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,6 +98,111 @@ func TestFileWALTornTail(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Epoch != 1 {
 		t.Fatalf("torn tail not skipped: %+v", got)
+	}
+}
+
+// walEpochs replays the journal at path and returns each record's epoch.
+func walEpochs(t *testing.T, w *FileWAL) []uint64 {
+	t.Helper()
+	recs, err := w.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []uint64
+	for _, r := range recs {
+		out = append(out, r.Epoch)
+	}
+	return out
+}
+
+func appendEpochs(t *testing.T, w *FileWAL, epochs ...uint64) {
+	t.Helper()
+	for _, e := range epochs {
+		if err := w.Append(Record{T: int64(e), Kind: KindEpoch, Epoch: e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFileWALTornTailThenAppend is the restart-after-torn-write case: the
+// records committed after the restart must follow the durable ones, not
+// hide behind the torn fragment.
+func TestFileWALTornTailThenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	w, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEpochs(t, w, 1)
+	w.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"t":2,"kind":"epo`)
+	f.Close()
+
+	w2, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	appendEpochs(t, w2, 2, 3)
+	if got := fmt.Sprint(walEpochs(t, w2)); got != "[1 2 3]" {
+		t.Fatalf("replay after torn tail and restart = %s, want [1 2 3]", got)
+	}
+}
+
+// TestFileWALCrashAtEveryOffset cuts the journal at every byte offset of
+// its last record, as a crash mid-append could, then restarts and
+// appends. The recovered records must be a prefix of the committed ones,
+// followed by everything appended after the restart.
+func TestFileWALCrashAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.wal")
+	w, err := OpenFileWAL(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEpochs(t, w, 1)
+	w.Close()
+	one, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err = OpenFileWAL(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendEpochs(t, w, 2)
+	w.Close()
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for off := len(one); off <= len(data); off++ {
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.wal", off))
+		if err := os.WriteFile(path, data[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := "[1]"
+		if off == len(data) {
+			want = "[1 2]"
+		}
+		if got := fmt.Sprint(walEpochs(t, w)); got != want {
+			t.Fatalf("cut at %d: recovered %s, want %s", off, got, want)
+		}
+		appendEpochs(t, w, 3)
+		want = want[:len(want)-1] + " 3]"
+		if got := fmt.Sprint(walEpochs(t, w)); got != want {
+			t.Fatalf("cut at %d: after restart and append, replay = %s, want %s", off, got, want)
+		}
+		w.Close()
 	}
 }
 

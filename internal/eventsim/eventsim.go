@@ -12,8 +12,10 @@
 //
 // The scheduler is allocation-free in steady state: events live in a
 // slab whose slots are recycled through an intrusive free-list, and the
-// priority queue is an indexed 4-ary heap of slot numbers rather than a
-// container/heap of boxed pointers. Cancellation stays safe without
+// priority queue is an indexed 4-ary heap of (at, key, seq, slot) entries
+// rather than a container/heap of boxed pointers: the ordering key lives
+// inline in the heap array, so a sift never dereferences the slab to
+// compare two events. Cancellation stays safe without
 // retaining pointers because every EventID carries the slot's generation
 // counter, which is bumped each time the slot fires or is cancelled.
 //
@@ -36,6 +38,20 @@
 // before firing (the per-CNP DCQCN churn) never touch the heap at all,
 // and the thousands that merely sit pending stop inflating the heap
 // that packet events have to sift through.
+//
+// # Reserved sequence numbers
+//
+// ReserveSeq takes the sequence number a ScheduleKeyed call made at that
+// moment would have consumed, and ScheduleReserved later files an event
+// under it. Such an event ranks exactly where that ScheduleKeyed call
+// would have ranked: the order is a function of (at, key, seq) alone, not
+// of when the event entered the heap. Because a reservation consumes one
+// sequence number, the same budget as the call it replaces, every other
+// event's tie order is unchanged. This lets a caller hold a sorted queue
+// of future events outside the heap with only its head filed — netdev's
+// per-link wires keep every in-flight packet that way — provided the
+// head is always filed before any later entry could be due. The merged
+// pop stream is then the one per-event scheduling would have produced.
 package eventsim
 
 import (
@@ -115,6 +131,28 @@ type event struct {
 	wslot int16
 }
 
+// heapEntry is one heap position: the event's ordering key, copied from
+// its slab slot when the event enters the heap, plus the slot number.
+type heapEntry struct {
+	at   Time
+	key  uint64
+	seq  uint64
+	slot int32
+}
+
+// less orders entries by (time, key, sequence): the unique deterministic
+// total order every heap layout must realize. All-zero keys reduce this
+// to the historic (time, sequence) order.
+func (a *heapEntry) less(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
 // EventID identifies a scheduled event so it can be cancelled. It is a
 // value (slot number plus generation), not a pointer: holding one keeps
 // nothing alive, and a stale ID — the event fired, was cancelled, or the
@@ -160,10 +198,11 @@ type Engine struct {
 	// slots is the event slab; freeHead chains released slots (-1 = none).
 	slots    []event
 	freeHead int32
-	// heap is a 4-ary min-heap of slot numbers ordered by (at, seq). A
-	// 4-ary layout halves the tree depth of a binary heap and keeps the
-	// children of a node in one cache line of slot indices.
-	heap []int32
+	// heap is a 4-ary min-heap ordered by (at, key, seq). Each entry
+	// carries its ordering key inline, so sifting compares array entries
+	// and touches the slab only to record a moved slot's new position. A
+	// 4-ary layout halves the tree depth of a binary heap.
+	heap []heapEntry
 
 	// wheel stages timer events (TimerAfter/RearmAfter/RearmAt) until
 	// they are due; wheelTick is the level-0 tick the wheel is anchored
@@ -203,7 +242,7 @@ func (e *Engine) Reserve(n int) {
 		e.slots = slots
 	}
 	if cap(e.heap) < n {
-		heap := make([]int32, len(e.heap), n)
+		heap := make([]heapEntry, len(e.heap), n)
 		copy(heap, e.heap)
 		e.heap = heap
 	}
@@ -232,16 +271,38 @@ func (e *Engine) Schedule(at Time, fn Handler) EventID {
 // of which engine — or how many engines — scheduled them; the sharded
 // runtime relies on this for its determinism contract.
 func (e *Engine) ScheduleKeyed(at Time, key uint64, fn Handler) EventID {
+	return e.ScheduleReserved(at, key, e.ReserveSeq(), fn)
+}
+
+// ReserveSeq consumes the next sequence number without scheduling
+// anything, exactly as a ScheduleKeyed call made now would. Pass it to
+// ScheduleReserved later to file an event in the position that call would
+// have given it — see the package comment's reserved-sequence rule.
+func (e *Engine) ReserveSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// ScheduleReserved runs fn at absolute virtual time at under a sequence
+// number obtained from ReserveSeq. The event ranks exactly where a
+// ScheduleKeyed(at, key, fn) issued at reservation time would have
+// ranked. It consumes no sequence number of its own; a reserved seq may
+// be filed, cancelled and filed again, as long as it is pending at most
+// once at a time.
+func (e *Engine) ScheduleReserved(at Time, key, seq uint64, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("eventsim: sequence %d was never reserved", seq))
 	}
 	slot := e.alloc()
 	ev := &e.slots[slot]
 	ev.at = at
 	ev.key = key
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.heapPush(slot)
 	return EventID{slot: slot, gen: ev.gen}
 }
@@ -335,12 +396,18 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// heapPush appends slot to the heap and restores the heap property.
+// heapPush files slot in the heap under its slab ordering key. Most
+// pushes rank after their parent and stay at the bottom, so the sift is
+// entered only when the new entry has to rise.
 func (e *Engine) heapPush(slot int32) {
+	ev := &e.slots[slot]
+	x := heapEntry{at: ev.at, key: ev.key, seq: ev.seq, slot: slot}
 	i := len(e.heap)
-	e.heap = append(e.heap, slot)
-	e.slots[slot].heapIdx = int32(i)
-	e.siftUp(i)
+	e.heap = append(e.heap, x)
+	ev.heapIdx = int32(i)
+	if i > 0 && x.less(&e.heap[(i-1)>>2]) {
+		e.siftUp(i, x)
+	}
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
@@ -415,7 +482,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // wheelInsert parks an already-filled event slot in the wheel, or pushes
@@ -511,7 +578,7 @@ func (e *Engine) wheelEarliest() (lvl, idx int, startTick int64) {
 func (e *Engine) syncWheel() {
 	for e.wheelCount > 0 {
 		lvl, idx, startTick := e.wheelEarliest()
-		if len(e.heap) > 0 && e.slots[e.heap[0]].at < Time(startTick<<wheelTickShift) {
+		if len(e.heap) > 0 && e.heap[0].at < Time(startTick<<wheelTickShift) {
 			return
 		}
 		if startTick > e.wheelTick {
@@ -570,7 +637,7 @@ func (e *Engine) peek() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // RunUntil executes events with timestamps ≤ deadline, then advances the
@@ -614,78 +681,65 @@ func (e *Engine) RunBefore(horizon Time) {
 	}
 }
 
-// less orders slots by (time, key, sequence): the unique deterministic
-// total order every heap layout must realize. All-zero keys reduce this to
-// the historic (time, sequence) order.
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.slots[a], &e.slots[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.key != eb.key {
-		return ea.key < eb.key
-	}
-	return ea.seq < eb.seq
-}
-
 // popMin removes and returns the root slot.
 func (e *Engine) popMin() int32 {
-	top := e.heap[0]
+	top := e.heap[0].slot
 	last := len(e.heap) - 1
-	moved := e.heap[last]
-	e.heap = e.heap[:last]
 	if last > 0 {
-		e.heap[0] = moved
-		e.slots[moved].heapIdx = 0
-		e.siftDown(0)
+		moved := e.heap[last]
+		e.heap = e.heap[:last]
+		e.siftDown(0, moved)
+	} else {
+		e.heap = e.heap[:0]
 	}
 	e.slots[top].heapIdx = -1
 	return top
 }
 
 // removeAt deletes the heap entry at position i (indexed removal for
-// Cancel): the last element takes its place and sifts whichever way the
+// Cancel): the last entry takes its place and sifts whichever way the
 // ordering demands.
 func (e *Engine) removeAt(i int) {
 	last := len(e.heap) - 1
-	slot := e.heap[i]
+	slot := e.heap[i].slot
 	moved := e.heap[last]
 	e.heap = e.heap[:last]
-	if i < last {
-		e.heap[i] = moved
-		e.slots[moved].heapIdx = int32(i)
-		if !e.siftUp(i) {
-			e.siftDown(i)
-		}
+	if i < last && !e.siftUp(i, moved) {
+		e.siftDown(i, moved)
 	}
 	e.slots[slot].heapIdx = -1
 }
 
-// siftUp restores the heap property from position i toward the root and
-// reports whether anything moved.
-func (e *Engine) siftUp(i int) bool {
-	moved := false
+// siftUp files x into the hole at position i, first moving the hole
+// toward the root past every parent x ranks before; it records each moved
+// slot's new position and reports whether the hole moved. Parents shift
+// down into the hole, so each level costs one entry copy and no swap.
+func (e *Engine) siftUp(i int, x heapEntry) bool {
+	start := i
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !e.less(e.heap[i], e.heap[parent]) {
+		if !x.less(&e.heap[parent]) {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		e.slots[e.heap[parent]].heapIdx = int32(parent)
+		e.heap[i] = e.heap[parent]
+		e.slots[e.heap[i].slot].heapIdx = int32(i)
 		i = parent
-		moved = true
 	}
-	return moved
+	e.heap[i] = x
+	e.slots[x.slot].heapIdx = int32(i)
+	return i != start
 }
 
-// siftDown restores the heap property from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
+// siftDown files x into the hole at position i, first moving the hole
+// toward the leaves past the smallest child while that child ranks
+// before x.
+func (e *Engine) siftDown(i int, x heapEntry) {
+	h := e.heap
+	n := len(h)
 	for {
 		first := i<<2 + 1
 		if first >= n {
-			return
+			break
 		}
 		best := first
 		end := first + 4
@@ -693,16 +747,17 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
+			if h[c].less(&h[best]) {
 				best = c
 			}
 		}
-		if !e.less(e.heap[best], e.heap[i]) {
-			return
+		if !h[best].less(&x) {
+			break
 		}
-		e.heap[i], e.heap[best] = e.heap[best], e.heap[i]
-		e.slots[e.heap[i]].heapIdx = int32(i)
-		e.slots[e.heap[best]].heapIdx = int32(best)
+		h[i] = h[best]
+		e.slots[h[i].slot].heapIdx = int32(i)
 		i = best
 	}
+	h[i] = x
+	e.slots[x.slot].heapIdx = int32(i)
 }

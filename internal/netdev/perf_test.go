@@ -36,10 +36,10 @@ type forwardRig struct {
 	sink *poolSink
 }
 
-func newForwardRig(counter *telemetry.Counter) *forwardRig {
+func newForwardRig(counter *telemetry.Counter, prop eventsim.Time) *forwardRig {
 	eng := eventsim.NewEngine(1)
 	pool := NewPacketPool()
-	port := NewEgressPort(eng, 100e9, 1000, rand.New(rand.NewSource(1)))
+	port := NewEgressPort(eng, 100e9, prop, rand.New(rand.NewSource(1)))
 	port.SetPacketPool(pool)
 	sink := &poolSink{pool: pool, counter: counter}
 	port.SetPeer(sink, 0)
@@ -54,13 +54,26 @@ func (r *forwardRig) sendOne(seq int64) {
 	r.eng.Run()
 }
 
+// burstLen is the burst the wire-depth variants send: 64 MTU frames
+// back-to-back, about as many as a 100 Gbps, 5 µs link holds in flight.
+const burstLen = 64
+
+// sendBurst enqueues burstLen pooled frames at once and runs until the
+// last has been sunk, so the wire fills to its full depth and drains.
+func (r *forwardRig) sendBurst() {
+	for i := int64(0); i < burstLen; i++ {
+		r.port.Enqueue(r.pool.NewDataPacket(1, 0, 1, i, DefaultMTU, false), -1)
+	}
+	r.eng.Run()
+}
+
 // TestPortForwardZeroAlloc pins the acceptance criterion for the packet
-// free-lists: once the pool, the port's delivery slab, and the engine's
+// free-lists: once the pool, the port's wire, and the engine's
 // event slab are warm, forwarding a data packet — including the per-packet
 // telemetry counter increment — allocates nothing.
 func TestPortForwardZeroAlloc(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rig := newForwardRig(reg.Counter("test_rx_packets_total", "packets sunk by the test rig"))
+	rig := newForwardRig(reg.Counter("test_rx_packets_total", "packets sunk by the test rig"), eventsim.Microsecond)
 	for i := int64(0); i < 256; i++ {
 		rig.sendOne(i)
 	}
@@ -72,6 +85,24 @@ func TestPortForwardZeroAlloc(t *testing.T) {
 	}
 	if rig.pool.Recycled == 0 {
 		t.Fatal("pool never recycled a packet; sink is not returning them")
+	}
+}
+
+// TestPortForwardBurstZeroAlloc pins the wire FIFO's steady state at
+// depth: a burst fills a 100 Gbps, 5 µs link with ~60 frames in flight,
+// and once warm, pushing it through allocates nothing.
+func TestPortForwardBurstZeroAlloc(t *testing.T) {
+	rig := newForwardRig(nil, 5*eventsim.Microsecond)
+	for i := 0; i < 4; i++ {
+		rig.sendBurst()
+	}
+	allocs := testing.AllocsPerRun(100, rig.sendBurst)
+	if allocs != 0 {
+		t.Fatalf("burst forward path allocates %.1f per burst in steady state, want 0", allocs)
+	}
+	// 4 warm-up bursts, AllocsPerRun's own warm-up run, and 100 measured.
+	if got := rig.sink.received; got != 105*burstLen {
+		t.Fatalf("sink received %d packets, want %d", got, 105*burstLen)
 	}
 }
 
@@ -102,7 +133,7 @@ func TestPacketPoolRecycles(t *testing.T) {
 // serialize, propagate, sink, recycle — which is two engine events plus the
 // pool round-trip per packet.
 func BenchmarkPortForward(b *testing.B) {
-	rig := newForwardRig(nil)
+	rig := newForwardRig(nil, eventsim.Microsecond)
 	for i := int64(0); i < 256; i++ {
 		rig.sendOne(i)
 	}
@@ -110,6 +141,23 @@ func BenchmarkPortForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rig.sendOne(int64(i))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rig.sink.bytes)/b.Elapsed().Seconds()/1e9, "simGB/s")
+}
+
+// BenchmarkPortForwardBurst is the wire-depth regime: bursts of 64 MTU
+// frames on a 100 Gbps, 5 µs link, so ~60 packets share the wire while
+// the link holds one delivery event. Reported per packet.
+func BenchmarkPortForwardBurst(b *testing.B) {
+	rig := newForwardRig(nil, 5*eventsim.Microsecond)
+	for i := 0; i < 4; i++ {
+		rig.sendBurst()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += burstLen {
+		rig.sendBurst()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rig.sink.bytes)/b.Elapsed().Seconds()/1e9, "simGB/s")

@@ -58,16 +58,6 @@ type PortStats struct {
 	LinkDowns int64
 }
 
-// deliverySlot holds one packet in flight on the wire (serialized, not yet
-// arrived). Each slot owns a persistent closure created when the slot is
-// first needed, so scheduling a delivery allocates nothing once the port's
-// in-flight high-water mark is reached.
-type deliverySlot struct {
-	pkt  *Packet
-	next int32 // free-list link
-	fn   eventsim.Handler
-}
-
 // EgressPort is one direction of a link: priority queues, a transmitter
 // that serializes at line rate, optional ECN marking, and PFC pause state.
 // Both switches and host RNICs transmit through EgressPorts.
@@ -76,9 +66,6 @@ type EgressPort struct {
 	rateBps float64
 	prop    eventsim.Time
 	rng     *rand.Rand
-
-	peer     Device
-	peerPort int
 
 	queues [NumClasses]fifo
 	busy   bool
@@ -100,11 +87,10 @@ type EgressPort struct {
 	inflightCl int
 	inflightDl eventsim.Time
 
-	// deliveries is the slab of packets crossing the wire; delivFree heads
-	// its free-list (-1 = none). Several can overlap: serialization of the
-	// next packet starts while earlier ones are still propagating.
-	deliveries []deliverySlot
-	delivFree  int32
+	// wire holds the packets crossing the link and delivers them to the
+	// peer (SetPeer). Several can overlap: serialization of the next
+	// packet starts while earlier ones are still propagating.
+	wire Wire
 
 	// keyBase, when nonzero, switches the port to keyed deliveries: every
 	// packet put on the wire is scheduled with structural key
@@ -114,8 +100,8 @@ type EgressPort struct {
 	// the legacy single-engine behavior, bit for bit.
 	keyBase uint64
 	emitSeq uint32
-	// remote, when set, intercepts deliveries instead of scheduling them
-	// on the local engine: the packet's arrival time and structural key
+	// remote, when set, intercepts deliveries instead of putting them on
+	// the local wire: the packet's arrival time and structural key
 	// are handed to the sharded runtime, which batches them per shard
 	// pair and injects them into the destination engine at the next
 	// window boundary.
@@ -164,8 +150,9 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, rn
 	if rateBps <= 0 {
 		panic("netdev: non-positive port rate")
 	}
-	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1, delivFree: -1}
+	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1}
 	p.txDoneFn = p.txDone
+	p.wire.init(eng)
 	return p
 }
 
@@ -213,8 +200,7 @@ func (p *EgressPort) Degraded() bool { return p.rateFactor != 1 || p.extraDelay 
 // SetPeer wires the far end of the link: packets arrive at dev.Receive
 // with inPort = port.
 func (p *EgressPort) SetPeer(dev Device, port int) {
-	p.peer = dev
-	p.peerPort = port
+	p.wire.dev, p.wire.port = dev, port
 }
 
 // SetMarker installs the ECN marking law (switch CP behaviour). The
@@ -347,7 +333,7 @@ func (p *EgressPort) TakeTxDataBytes() int64 {
 // SendPFC emits a PAUSE or RESUME control frame to the peer. PFC frames
 // bypass the queues; they only pay serialization plus propagation.
 func (p *EgressPort) SendPFC(pause bool, class int) {
-	if p.peer == nil {
+	if p.wire.dev == nil {
 		panic("netdev: SendPFC before SetPeer")
 	}
 	frame := p.pool.Get()
@@ -387,7 +373,7 @@ func (p *EgressPort) next() (queueEntry, int, bool) {
 }
 
 func (p *EgressPort) transmit(e queueEntry, class int) {
-	if p.peer == nil {
+	if p.wire.dev == nil {
 		panic("netdev: transmit before SetPeer")
 	}
 	pkt := e.pkt
@@ -432,66 +418,33 @@ func (p *EgressPort) txDone() {
 }
 
 // scheduleDelivery puts pkt on the wire: after delay it arrives at the
-// peer. Slots are recycled, and each slot's closure is built exactly once,
-// so the steady-state cost is one event and zero allocations.
+// peer. Keyed ports rank the arrival by their emission key and, across a
+// shard boundary, hand it to the sharded runtime instead.
 func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
+	at := p.eng.Now() + delay
+	var key uint64
 	if p.keyBase != 0 {
-		key := p.keyBase | uint64(p.emitSeq)
+		key = p.keyBase | uint64(p.emitSeq)
 		p.emitSeq++
 		if p.remote != nil {
-			p.remote(pkt, p.eng.Now()+delay, key)
+			p.remote(pkt, at, key)
 			return
 		}
-		slot := p.delivSlot(pkt)
-		p.eng.ScheduleKeyed(p.eng.Now()+delay, key, p.deliveries[slot].fn)
-		return
 	}
-	slot := p.delivSlot(pkt)
-	p.eng.After(delay, p.deliveries[slot].fn)
-}
-
-// delivSlot takes a delivery slot for pkt from the free-list, growing the
-// slab (and building the slot's persistent closure) on first use.
-func (p *EgressPort) delivSlot(pkt *Packet) int32 {
-	slot := p.delivFree
-	if slot >= 0 {
-		p.delivFree = p.deliveries[slot].next
-	} else {
-		slot = int32(len(p.deliveries))
-		p.deliveries = append(p.deliveries, deliverySlot{})
-		i := slot
-		p.deliveries[i].fn = func() { p.deliver(i) }
-	}
-	p.deliveries[slot].pkt = pkt
-	return slot
+	p.wire.Put(pkt, at, key)
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a
-// class FIFO, mid-serialization, or crossing the wire in a delivery slot.
+// class FIFO, mid-serialization, or crossing the wire.
 // sim.Network sums this over every port to check the packet-pool leak
 // invariant Fresh+Recycled == Puts + in-flight.
 func (p *EgressPort) InFlightPackets() int {
-	n := 0
+	n := p.wire.Len()
 	for c := range p.queues {
 		n += len(p.queues[c].entries) - p.queues[c].head
 	}
 	if p.inflight.pkt != nil {
 		n++
 	}
-	for i := range p.deliveries {
-		if p.deliveries[i].pkt != nil {
-			n++
-		}
-	}
 	return n
-}
-
-// deliver releases delivery slot i and hands its packet to the peer.
-func (p *EgressPort) deliver(i int32) {
-	s := &p.deliveries[i]
-	pkt := s.pkt
-	s.pkt = nil
-	s.next = p.delivFree
-	p.delivFree = i
-	p.peer.Receive(pkt, p.peerPort)
 }

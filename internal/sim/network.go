@@ -49,11 +49,6 @@ type Config struct {
 	// dcqcn.RP.SetSuppression), but off by default so the stock event
 	// counts in overhead reports stay comparable across PRs.
 	SuppressQuiescentTimers bool
-	// HeapOnlyTimers disables the engines' timing-wheel timer path,
-	// forcing every timer onto the binary-heap; behaviorally identical
-	// (the wheel's ordering contract) and only useful as the baseline
-	// arm of performance comparisons.
-	HeapOnlyTimers bool
 }
 
 // DefaultConfig is a small, fast fabric useful for tests and examples:
@@ -146,9 +141,6 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	eng := eventsim.NewEngine(cfg.Seed)
-	if cfg.HeapOnlyTimers {
-		eng.SetWheelEnabled(false)
-	}
 	n := &Network{
 		Eng: eng, Topo: topo, cfg: cfg,
 		hostByNode:   map[topology.NodeID]*rnic.Host{},

@@ -28,8 +28,10 @@ type shardRuntime struct {
 	// out[s] is shard s's outbox: packets that left a cross-shard port
 	// during the current window. Appended only by shard s's worker,
 	// drained only by the coordinator at the barrier — no lock needed.
-	out     [][]handoff
-	inboxes []*inbox
+	out [][]handoff
+	// inboxes[i] is the receiving end of one cross-shard link direction:
+	// a wire on the destination shard's engine, fed at the barrier.
+	inboxes []*netdev.Wire
 	sorted  []handoff // barrier merge scratch
 
 	// deferred[s] buffers flow completions raised on shard s during a
@@ -46,58 +48,6 @@ type handoff struct {
 	at    eventsim.Time
 	key   uint64
 	inbox int32
-}
-
-// inbox is the receiving end of one cross-shard link direction. Its slot
-// slab mirrors netdev's delivery slab: persistent closures so injecting a
-// handoff costs one event and no allocation in steady state.
-type inbox struct {
-	eng   *eventsim.Engine
-	dev   netdev.Device
-	port  int
-	slots []inboxSlot
-	free  int32
-}
-
-type inboxSlot struct {
-	pkt  *netdev.Packet
-	next int32
-	fn   eventsim.Handler
-}
-
-func (b *inbox) inject(pkt *netdev.Packet, at eventsim.Time, key uint64) {
-	slot := b.free
-	if slot >= 0 {
-		b.free = b.slots[slot].next
-	} else {
-		slot = int32(len(b.slots))
-		b.slots = append(b.slots, inboxSlot{})
-		i := slot
-		b.slots[i].fn = func() { b.deliver(i) }
-	}
-	b.slots[slot].pkt = pkt
-	b.eng.ScheduleKeyed(at, key, b.slots[slot].fn)
-}
-
-func (b *inbox) deliver(i int32) {
-	s := &b.slots[i]
-	pkt := s.pkt
-	s.pkt = nil
-	s.next = b.free
-	b.free = i
-	b.dev.Receive(pkt, b.port)
-}
-
-// inFlight counts packets injected but not yet delivered (pool-leak
-// accounting).
-func (b *inbox) inFlight() int {
-	n := 0
-	for i := range b.slots {
-		if b.slots[i].pkt != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // buildSharded constructs the sharded form of the network: called by New
@@ -121,9 +71,6 @@ func (n *Network) buildSharded() error {
 		// device stream comes from the global engine — so these seeds only
 		// need to exist, not to match anything.
 		rt.engines[s] = eventsim.NewEngine(cfg.Seed + int64(s) + 1)
-		if cfg.HeapOnlyTimers {
-			rt.engines[s].SetWheelEnabled(false)
-		}
 		rt.pools[s] = netdev.NewPacketPool()
 	}
 	n.shard = rt
@@ -186,9 +133,8 @@ func (n *Network) buildSharded() error {
 // wireRemote points a cross-shard egress port at its shard's outbox and
 // registers the destination-side inbox.
 func (rt *shardRuntime) wireRemote(src *netdev.EgressPort, srcShard, dstShard int, dev netdev.Device, port int) {
-	b := &inbox{eng: rt.engines[dstShard], dev: dev, port: port, free: -1}
 	idx := int32(len(rt.inboxes))
-	rt.inboxes = append(rt.inboxes, b)
+	rt.inboxes = append(rt.inboxes, netdev.NewWire(rt.engines[dstShard], dev, port))
 	src.SetRemoteHandoff(func(pkt *netdev.Packet, at eventsim.Time, key uint64) {
 		rt.out[srcShard] = append(rt.out[srcShard], handoff{pkt: pkt, at: at, key: key, inbox: idx})
 	})
@@ -215,7 +161,7 @@ func (rt *shardRuntime) barrier() {
 		})
 		for i := range rt.sorted {
 			h := &rt.sorted[i]
-			rt.inboxes[h.inbox].inject(h.pkt, h.at, h.key)
+			rt.inboxes[h.inbox].Put(h.pkt, h.at, h.key)
 			h.pkt = nil
 		}
 	}
@@ -245,15 +191,15 @@ func (rt *shardRuntime) barrier() {
 }
 
 // outstanding counts packets held by the shard machinery itself: sitting
-// in an outbox awaiting the barrier, or injected into an inbox slot but
-// not yet delivered.
+// in an outbox awaiting the barrier, or on an inbox wire but not yet
+// delivered.
 func (rt *shardRuntime) outstanding() int {
 	total := 0
 	for s := range rt.out {
 		total += len(rt.out[s])
 	}
 	for _, b := range rt.inboxes {
-		total += b.inFlight()
+		total += b.Len()
 	}
 	return total
 }
