@@ -1,6 +1,10 @@
 package dispatch
 
 import (
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -227,6 +231,138 @@ func TestPipelineCrashRecovery(t *testing.T) {
 		if d.Epoch != pipeB.CommittedEpoch() {
 			t.Fatalf("device epochs %v, want all %d", fab.Epochs(), pipeB.CommittedEpoch())
 		}
+	}
+}
+
+// errCrash is the panic value crashWAL kills its controller with.
+var errCrash = errors.New("controller crashed mid-append")
+
+// crashWAL is a FileWAL whose append number tearAt (counted from zero
+// over the wrapper's appends; -1 never) is cut short: only the first
+// cut(len) bytes of the record's line reach the file, then the
+// controller dies (panics with errCrash) inside the write, as a process
+// killed mid-append would leave it.
+type crashWAL struct {
+	*FileWAL
+	path   string
+	n      int
+	tearAt int
+	cut    func(n int) int
+}
+
+func (w *crashWAL) Append(r Record) error {
+	if w.n != w.tearAt {
+		w.n++
+		return w.FileWAL.Append(r)
+	}
+	line, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	f.Write(line[:w.cut(len(line))])
+	f.Close()
+	panic(errCrash)
+}
+
+// crashes runs fn and reports whether it died with errCrash.
+func crashes(fn func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errCrash {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	fn()
+	return false
+}
+
+// TestPipelineFileWALCrashCycles runs TestPipelineCrashRecovery's
+// scenario over a FileWAL for several crash/restart cycles. Each cycle a
+// controller submits a rollout and dies inside a journal append, leaving
+// that record cut mid-line: the canary phase record (devices untouched)
+// or the settle phase record (fabric forked), cut at varying offsets,
+// including one that leaves the whole record but no newline. Every
+// restart must recover an epoch strictly above the last recovered one
+// and above every epoch a device holds, drive the fabric to converge on
+// one epoch, and keep the journal free of the torn fragment.
+func TestPipelineFileWALCrashCycles(t *testing.T) {
+	tears := []struct {
+		afterIntent int // 1: canary phase record, 2: settle phase record
+		cut         func(n int) int
+	}{
+		{2, func(n int) int { return n / 2 }},
+		{1, func(n int) int { return 1 }},
+		{2, func(n int) int { return n - 1 }},
+		{1, func(n int) int { return 2 * n / 3 }},
+	}
+	path := filepath.Join(t.TempDir(), "dispatch.wal")
+	fab := NewFabric(4)
+	initial := dcqcn.DefaultParams()
+	var lastEpoch uint64
+	for cycle := 0; cycle <= len(tears); cycle++ {
+		fw, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err := os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		} else if n := len(data); n > 0 && data[n-1] != '\n' {
+			t.Fatalf("cycle %d: torn fragment survived the reopen", cycle)
+		}
+		var held uint64
+		for _, d := range fab.Devices {
+			held = max(held, d.Epoch)
+		}
+		w := &crashWAL{FileWAL: fw, path: path, tearAt: -1}
+		cfg := Config{Enabled: true, Canary: 1, SettleIntervals: 5, WAL: w, Fabric: fab}
+		eng := eventsim.NewEngine(1)
+		pipe := New(cfg, eng, fab, nil, telemetry.NewRegistry())
+		if err := pipe.Resume(initial, eng.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if cycle > 0 {
+			if pipe.Phase() != PhasePromote {
+				t.Fatalf("cycle %d: recovery phase = %v, want promote", cycle, pipe.Phase())
+			}
+			if pipe.Epoch() <= lastEpoch || pipe.Epoch() <= held {
+				t.Fatalf("cycle %d: recovered epoch %d not above the last recovered %d and the devices' %d", cycle, pipe.Epoch(), lastEpoch, held)
+			}
+			lastEpoch = pipe.Epoch()
+			eng.Run()
+			if pipe.Phase() != PhaseIdle || !fab.Converged() {
+				t.Fatalf("cycle %d: phase %v, device epochs %v after recovery", cycle, pipe.Phase(), fab.Epochs())
+			}
+			for _, d := range fab.Devices {
+				if d.Epoch != pipe.Epoch() || d.Params != initial {
+					t.Fatalf("cycle %d: device at epoch %d, want %d running the pre-plan vector", cycle, d.Epoch, pipe.Epoch())
+				}
+			}
+		}
+		if cycle == len(tears) {
+			fw.Close()
+			break
+		}
+		tear := tears[cycle]
+		w.tearAt, w.cut = w.n+tear.afterIntent, tear.cut
+		if !crashes(func() {
+			if ok, r := pipe.SubmitFinal(target(), 50, eng.Now()); !ok {
+				t.Fatalf("cycle %d: SubmitFinal rejected: %v", cycle, r)
+			}
+			eng.Run()
+		}) {
+			t.Fatalf("cycle %d: controller reached phase %v without crashing", cycle, pipe.Phase())
+		}
+		if forked := !fab.Converged(); forked != (tear.afterIntent == 2) {
+			t.Fatalf("cycle %d: fabric forked = %v at the crash", cycle, forked)
+		}
+		fw.Close()
 	}
 }
 

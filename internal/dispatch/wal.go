@@ -116,31 +116,43 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 // truncateTornTail cuts f after its last complete, decodable line —
 // where Replay stops reading — and syncs the cut.
 func truncateTornTail(f *os.File) error {
-	r := bufio.NewReader(f)
-	var valid int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			if len(line) == 0 {
-				return nil // the log ends on a complete line
-			}
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if body := bytes.TrimRight(line, "\r\n"); len(body) > 0 {
-			var rec Record
-			if json.Unmarshal(body, &rec) != nil {
-				break
-			}
-		}
-		valid += int64(len(line))
+	_, valid, err := readLog(f)
+	if err != nil {
+		return err
 	}
 	if err := f.Truncate(valid); err != nil {
 		return err
 	}
 	return f.Sync()
+}
+
+// readLog reads the journal's records from r: the longest prefix of
+// complete ('\n'-terminated), decodable lines, skipping blank ones. It
+// also reports the byte length of that prefix. The first unterminated or
+// undecodable line ends the log: it is a torn write, or follows one.
+// OpenFileWAL and Replay both read through here, so what open keeps is
+// exactly what Replay returns.
+func readLog(r io.Reader) ([]Record, int64, error) {
+	br := bufio.NewReader(r)
+	var recs []Record
+	var valid int64
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return recs, valid, nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		if body := bytes.TrimRight(line, "\r\n"); len(body) > 0 {
+			var rec Record
+			if json.Unmarshal(body, &rec) != nil {
+				return recs, valid, nil
+			}
+			recs = append(recs, rec)
+		}
+		valid += int64(len(line))
+	}
 }
 
 // Append writes r as one JSON line and syncs it to stable storage.
@@ -162,8 +174,9 @@ func (w *FileWAL) Append(r Record) error {
 }
 
 // Replay reads every record currently in the journal. A trailing
-// partial line (torn write from a crash mid-append) is skipped, not an
-// error: the record it would have been was by definition not durable.
+// partial or undecodable line (torn write from a crash mid-append) ends
+// the log, not an error: the record it would have been was by definition
+// not durable.
 func (w *FileWAL) Replay() ([]Record, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -172,22 +185,8 @@ func (w *FileWAL) Replay() ([]Record, error) {
 		return nil, fmt.Errorf("dispatch: wal replay: %w", err)
 	}
 	defer f.Close()
-	var recs []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// Torn tail: stop at the first undecodable line.
-			break
-		}
-		recs = append(recs, r)
-	}
-	if err := sc.Err(); err != nil {
+	recs, _, err := readLog(f)
+	if err != nil {
 		return nil, fmt.Errorf("dispatch: wal replay: %w", err)
 	}
 	return recs, nil

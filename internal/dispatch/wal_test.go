@@ -1,9 +1,12 @@
 package dispatch
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/dcqcn"
@@ -204,6 +207,76 @@ func TestFileWALCrashAtEveryOffset(t *testing.T) {
 		}
 		w.Close()
 	}
+}
+
+// walPrefix is the reference reading of a journal file: the records of
+// its complete, decodable lines up to the first line that is not (blank
+// lines skipped), and their byte length.
+func walPrefix(data []byte) ([]Record, int) {
+	var recs []Record
+	n := 0
+	for {
+		i := bytes.IndexByte(data[n:], '\n')
+		if i < 0 {
+			return recs, n
+		}
+		line := bytes.TrimRight(data[n:n+i], "\r")
+		if len(line) > 0 {
+			var r Record
+			if json.Unmarshal(line, &r) != nil {
+				return recs, n
+			}
+			recs = append(recs, r)
+		}
+		n += i + 1
+	}
+}
+
+// FuzzWALReplay writes arbitrary bytes as the journal file, opens it and
+// replays it: neither may panic, the records returned are the longest
+// prefix of complete, decodable lines, and records appended after the
+// open replay right after them.
+func FuzzWALReplay(f *testing.F) {
+	p := dcqcn.DefaultParams()
+	line, _ := json.Marshal(Record{T: 1, Kind: KindIntent, Epoch: 4, Params: &p, Hash: VectorHash(&p)})
+	f.Add([]byte{})
+	f.Add(append(line, '\n'))
+	f.Add(append(append(line, '\n'), line[:len(line)/2]...))
+	f.Add([]byte("{\"t\":1,\"kind\":\"epoch\",\"epoch\":1}\r\n\n\r\r\n{\"t\":2,\"kind\":\"epoch\",\"epoch\":2}\nnull\n{\"t\":"))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := walPrefix(data)
+		w, err := OpenFileWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		got, err := w.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("replay = %+v, want %+v", got, want)
+		}
+		more := []Record{{T: 7, Kind: KindEpoch, Epoch: 1 << 40}, {T: 8, Kind: KindCommit, Epoch: 1<<40 + 1, Params: &p, Reason: "after"}}
+		for _, r := range more {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err = w.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, more...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay after append = %+v, want %+v", got, want)
+		}
+	})
 }
 
 func TestRecoverFolding(t *testing.T) {

@@ -25,9 +25,9 @@
 // RearmAt) take a second path: a hierarchical timing wheel with O(1)
 // schedule, cancel, and reschedule-in-place. The wheel is a staging area,
 // never an ordering authority — before any pop the engine flushes every
-// wheel slot that could contain an event at or before the heap's head
-// into the heap, where the single structural (at, key, seq) comparator
-// decides the final order. A timer therefore fires in exactly the
+// wheel slot that could contain an event at or before the front (the
+// heap's head or the earliest lane head) into the heap, where the single
+// structural (at, key, seq) comparator decides the final order. A timer therefore fires in exactly the
 // position it would have occupied had it been heap-scheduled all along:
 // the merged pop stream is byte-identical to a heap-only engine's, which
 // is what lets the chaos/dispatch/sharded golden traces stay frozen
@@ -39,19 +39,17 @@
 // and the thousands that merely sit pending stop inflating the heap
 // that packet events have to sift through.
 //
-// # Reserved sequence numbers
+// # Lane rule
 //
-// ReserveSeq takes the sequence number a ScheduleKeyed call made at that
-// moment would have consumed, and ScheduleReserved later files an event
-// under it. Such an event ranks exactly where that ScheduleKeyed call
-// would have ranked: the order is a function of (at, key, seq) alone, not
-// of when the event entered the heap. Because a reservation consumes one
-// sequence number, the same budget as the call it replaces, every other
-// event's tie order is unchanged. This lets a caller hold a sorted queue
-// of future events outside the heap with only its head filed — netdev's
-// per-link wires keep every in-flight packet that way — provided the
-// head is always filed before any later entry could be due. The merged
-// pop stream is then the one per-event scheduling would have produced.
+// A Lane holds future events outside the heap in a queue sorted by the
+// same (at, key, seq) order, and takes each entry's sequence number when
+// the entry is pushed, exactly as a ScheduleKeyed call made then would.
+// The engine merges every lane's head with the heap's root at pop time
+// (and the wheel flush treats that merged front as the heap head), so the
+// merged pop stream equals per-event ScheduleKeyed scheduling: the order
+// is a function of (at, key, seq) alone, not of which structure held the
+// event. netdev keeps every packet in flight this way, one lane per
+// delivery delay, so a delivery never touches the heap.
 package eventsim
 
 import (
@@ -94,23 +92,10 @@ func (t Time) String() string { return t.Duration().String() }
 type Handler func()
 
 // event is one slab slot: a scheduled callback plus the bookkeeping that
-// lets the slot be found in the heap and recycled. seq breaks ties between
-// events scheduled for the same instant: earlier-scheduled events fire
-// first, which keeps runs deterministic.
+// lets the slot be found in the heap and recycled.
 type event struct {
-	at  Time
-	seq uint64
-	fn  Handler
-
-	// key is an optional structural ordering key that ranks between at and
-	// seq. Events scheduled with plain Schedule carry key 0, so their
-	// relative order is pure (at, seq) — identical to the engine's historic
-	// behavior. Sharded simulations schedule link deliveries with a key
-	// derived from the sending (node, port, emission count), making
-	// same-timestamp arrival order a function of the traffic itself rather
-	// than of which engine scheduled it first; that is what keeps a run
-	// byte-identical across shard counts.
-	key uint64
+	stamp
+	fn Handler
 
 	// gen is the slot's generation; it increments every time the slot is
 	// released (fire or cancel), so EventIDs issued for earlier occupants
@@ -131,19 +116,27 @@ type event struct {
 	wslot int16
 }
 
-// heapEntry is one heap position: the event's ordering key, copied from
-// its slab slot when the event enters the heap, plus the slot number.
-type heapEntry struct {
-	at   Time
-	key  uint64
-	seq  uint64
-	slot int32
+// stamp is an event's ordering key. seq breaks ties between events
+// scheduled for the same instant: earlier-scheduled events fire first,
+// which keeps runs deterministic.
+type stamp struct {
+	at Time
+	// key is an optional structural ordering key that ranks between at
+	// and seq. Events scheduled with plain Schedule carry key 0, so their
+	// relative order is pure (at, seq) — identical to the engine's
+	// historic behavior. Sharded simulations schedule link deliveries
+	// with a key derived from the sending (node, port, emission count),
+	// making same-timestamp arrival order a function of the traffic
+	// itself rather than of which engine scheduled it first; that is what
+	// keeps a run byte-identical across shard counts.
+	key uint64
+	seq uint64
 }
 
-// less orders entries by (time, key, sequence): the unique deterministic
-// total order every heap layout must realize. All-zero keys reduce this
-// to the historic (time, sequence) order.
-func (a *heapEntry) less(b *heapEntry) bool {
+// less orders stamps by (time, key, sequence): the unique deterministic
+// total order every heap layout and lane merge must realize. All-zero
+// keys reduce this to the historic (time, sequence) order.
+func (a *stamp) less(b *stamp) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -151,6 +144,13 @@ func (a *heapEntry) less(b *heapEntry) bool {
 		return a.key < b.key
 	}
 	return a.seq < b.seq
+}
+
+// heapEntry is one heap position: the event's stamp, copied from its slab
+// slot when the event enters the heap, plus the slot number.
+type heapEntry struct {
+	stamp
+	slot int32
 }
 
 // EventID identifies a scheduled event so it can be cancelled. It is a
@@ -214,6 +214,11 @@ type Engine struct {
 	wheelCount int
 	wheelOff   bool
 
+	// lanes are the engine's Lanes with their heads' stamps; laneLive
+	// counts the non-empty ones. See the package comment's lane rule.
+	lanes    []laneRef
+	laneLive int
+
 	rng     *rand.Rand
 	stopped bool
 
@@ -271,40 +276,22 @@ func (e *Engine) Schedule(at Time, fn Handler) EventID {
 // of which engine — or how many engines — scheduled them; the sharded
 // runtime relies on this for its determinism contract.
 func (e *Engine) ScheduleKeyed(at Time, key uint64, fn Handler) EventID {
-	return e.ScheduleReserved(at, key, e.ReserveSeq(), fn)
-}
-
-// ReserveSeq consumes the next sequence number without scheduling
-// anything, exactly as a ScheduleKeyed call made now would. Pass it to
-// ScheduleReserved later to file an event in the position that call would
-// have given it — see the package comment's reserved-sequence rule.
-func (e *Engine) ReserveSeq() uint64 {
-	s := e.seq
-	e.seq++
-	return s
-}
-
-// ScheduleReserved runs fn at absolute virtual time at under a sequence
-// number obtained from ReserveSeq. The event ranks exactly where a
-// ScheduleKeyed(at, key, fn) issued at reservation time would have
-// ranked. It consumes no sequence number of its own; a reserved seq may
-// be filed, cancelled and filed again, as long as it is pending at most
-// once at a time.
-func (e *Engine) ScheduleReserved(at Time, key, seq uint64, fn Handler) EventID {
 	if at < e.now {
 		panic(fmt.Sprintf("eventsim: schedule at %v before now %v", at, e.now))
 	}
-	if seq >= e.seq {
-		panic(fmt.Sprintf("eventsim: sequence %d was never reserved", seq))
-	}
 	slot := e.alloc()
 	ev := &e.slots[slot]
-	ev.at = at
-	ev.key = key
-	ev.seq = seq
+	ev.stamp = stamp{at: at, key: key, seq: e.takeSeq()}
 	ev.fn = fn
 	e.heapPush(slot)
 	return EventID{slot: slot, gen: ev.gen}
+}
+
+// takeSeq consumes the next sequence number.
+func (e *Engine) takeSeq() uint64 {
+	s := e.seq
+	e.seq++
+	return s
 }
 
 // After runs fn after delay d from the current virtual time.
@@ -357,11 +344,8 @@ func (e *Engine) RearmAt(id EventID, at Time, fn Handler) EventID {
 			} else {
 				e.removeAt(int(ev.heapIdx))
 			}
-			ev.at = at
-			ev.key = 0
-			ev.seq = e.seq
+			ev.stamp = stamp{at: at, seq: e.takeSeq()}
 			ev.fn = fn
-			e.seq++
 			e.wheelInsert(id.slot)
 			return id
 		}
@@ -374,11 +358,8 @@ func (e *Engine) RearmAt(id EventID, at Time, fn Handler) EventID {
 func (e *Engine) timerAt(at Time, fn Handler) EventID {
 	slot := e.alloc()
 	ev := &e.slots[slot]
-	ev.at = at
-	ev.key = 0
-	ev.seq = e.seq
+	ev.stamp = stamp{at: at, seq: e.takeSeq()}
 	ev.fn = fn
-	e.seq++
 	e.wheelInsert(slot)
 	return EventID{slot: slot, gen: ev.gen}
 }
@@ -401,11 +382,11 @@ func (e *Engine) alloc() int32 {
 // entered only when the new entry has to rise.
 func (e *Engine) heapPush(slot int32) {
 	ev := &e.slots[slot]
-	x := heapEntry{at: ev.at, key: ev.key, seq: ev.seq, slot: slot}
+	x := heapEntry{stamp: ev.stamp, slot: slot}
 	i := len(e.heap)
 	e.heap = append(e.heap, x)
 	ev.heapIdx = int32(i)
-	if i > 0 && x.less(&e.heap[(i-1)>>2]) {
+	if i > 0 && x.less(&e.heap[(i-1)>>2].stamp) {
 		e.siftUp(i, x)
 	}
 }
@@ -467,22 +448,51 @@ func (e *Engine) SetWheelEnabled(on bool) {
 	e.wheelOff = !on
 }
 
-// Pending reports the number of events currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount }
+// Pending reports the number of events currently scheduled, counting
+// each non-empty lane once: a lane is one pending merge source, however
+// many events it queues.
+func (e *Engine) Pending() int { return len(e.heap) + e.wheelCount + e.laneLive }
 
 // NextEventTime reports the timestamp of the earliest pending event, and
 // false when the queue is empty. The sharded coordinator uses it to size
 // conservative time windows (skip ahead when every shard is idle); the
-// reported time is exact — wheel slots that could precede the heap head
-// are flushed first — so window sizing is identical to a heap-only run.
+// reported time is exact — wheel slots that could precede the front are
+// flushed first — so window sizing is identical to a heap-only run.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
+	s, _ := e.front()
+	if s == nil {
 		return 0, false
 	}
-	return e.heap[0].at, true
+	return s.at, true
+}
+
+// front locates the earliest pending event once per step: it takes the
+// least lane head, flushes every wheel slot that could rank before it or
+// the heap root, and returns the winner's stamp and its lane index (-1
+// for the heap root), or a nil stamp when nothing is pending.
+func (e *Engine) front() (*stamp, int) {
+	lane := -1
+	var best *stamp
+	if e.laneLive > 0 {
+		lane = 0
+		best = &e.lanes[0].stamp
+		for i := 1; i < len(e.lanes); i++ {
+			if e.lanes[i].less(best) {
+				best, lane = &e.lanes[i].stamp, i
+			}
+		}
+	}
+	if e.wheelCount > 0 {
+		bound := laneEmpty.at
+		if best != nil {
+			bound = best.at
+		}
+		e.syncWheel(bound)
+	}
+	if len(e.heap) > 0 && (best == nil || e.heap[0].less(best)) {
+		return &e.heap[0].stamp, -1
+	}
+	return best, lane
 }
 
 // wheelInsert parks an already-filled event slot in the wheel, or pushes
@@ -569,16 +579,18 @@ func (e *Engine) wheelEarliest() (lvl, idx int, startTick int64) {
 	panic("eventsim: wheelEarliest on empty wheel")
 }
 
-// syncWheel flushes wheel slots into the heap until the heap's head is
-// strictly earlier than every parked timer — the point at which popping
-// from the heap alone is provably identical to a heap-only engine.
-// Level-0 slots flush straight to the heap; higher slots cascade their
-// events down a level (or to the heap once due). wheelTick only ever
-// advances, and never past an occupied slot's start.
-func (e *Engine) syncWheel() {
+// syncWheel flushes wheel slots into the heap until the front — the
+// heap's head or bound, the earliest lane head's time — is strictly
+// earlier than every parked timer: the point at which popping the front
+// is provably identical to a heap-only engine. Level-0 slots flush
+// straight to the heap; higher slots cascade their events down a level
+// (or to the heap once due). wheelTick only ever advances, and never past
+// an occupied slot's start.
+func (e *Engine) syncWheel(bound Time) {
 	for e.wheelCount > 0 {
 		lvl, idx, startTick := e.wheelEarliest()
-		if len(e.heap) > 0 && e.heap[0].at < Time(startTick<<wheelTickShift) {
+		start := Time(startTick << wheelTickShift)
+		if bound < start || len(e.heap) > 0 && e.heap[0].at < start {
 			return
 		}
 		if startTick > e.wheelTick {
@@ -603,11 +615,23 @@ func (e *Engine) syncWheel() {
 // Step executes the single earliest pending event. It reports false when no
 // events remain.
 func (e *Engine) Step() bool {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
+	s, lane := e.front()
+	if s == nil {
 		return false
+	}
+	e.fire(lane)
+	return true
+}
+
+// fire executes the front event front just located: the head of lane,
+// or the heap root when lane is -1.
+func (e *Engine) fire(lane int) {
+	e.Processed++
+	if lane >= 0 {
+		ref := &e.lanes[lane]
+		e.now = ref.at
+		ref.lane.fire()
+		return
 	}
 	slot := e.popMin()
 	ev := &e.slots[slot]
@@ -616,9 +640,7 @@ func (e *Engine) Step() bool {
 	// Release before invoking: the handler may reschedule into the same
 	// slot, and by then its own EventID must already be stale.
 	e.release(slot)
-	e.Processed++
 	fn()
-	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -628,32 +650,11 @@ func (e *Engine) Run() {
 	}
 }
 
-// peek reports the earliest pending timestamp across heap and wheel,
-// flushing due wheel slots so the answer is exact.
-func (e *Engine) peek() (Time, bool) {
-	if e.wheelCount > 0 {
-		e.syncWheel()
-	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
-}
-
 // RunUntil executes events with timestamps ≤ deadline, then advances the
 // clock to exactly deadline. Events scheduled beyond deadline remain queued
 // so the simulation can be resumed.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peek()
-		if !ok || t > deadline {
-			break
-		}
-		if !e.Step() {
-			break
-		}
-	}
+	e.runThrough(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -666,18 +667,21 @@ func (e *Engine) RunUntil(deadline Time) {
 // be merged ahead of (or behind) them in structural-key order before the
 // next window runs.
 func (e *Engine) RunBefore(horizon Time) {
-	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peek()
-		if !ok || t >= horizon {
-			break
-		}
-		if !e.Step() {
-			break
-		}
-	}
+	e.runThrough(horizon - 1)
 	if e.now < horizon {
 		e.now = horizon
+	}
+}
+
+// runThrough executes events with timestamps ≤ last until Stop.
+func (e *Engine) runThrough(last Time) {
+	e.stopped = false
+	for !e.stopped {
+		s, lane := e.front()
+		if s == nil || s.at > last {
+			return
+		}
+		e.fire(lane)
 	}
 }
 
@@ -718,7 +722,7 @@ func (e *Engine) siftUp(i int, x heapEntry) bool {
 	start := i
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !x.less(&e.heap[parent]) {
+		if !x.less(&e.heap[parent].stamp) {
 			break
 		}
 		e.heap[i] = e.heap[parent]
@@ -747,11 +751,11 @@ func (e *Engine) siftDown(i int, x heapEntry) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if h[c].less(&h[best]) {
+			if h[c].less(&h[best].stamp) {
 				best = c
 			}
 		}
-		if !h[best].less(&x) {
+		if !h[best].less(&x.stamp) {
 			break
 		}
 		h[i] = h[best]

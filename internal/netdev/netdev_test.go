@@ -70,6 +70,7 @@ func newPort(t *testing.T, rate float64, prop eventsim.Time) (*eventsim.Engine, 
 	t.Helper()
 	eng := eventsim.NewEngine(3)
 	p := NewEgressPort(eng, rate, prop, eng.Rand())
+	p.SetLanes(NewLanes(eng))
 	dst := &sink{eng: eng}
 	p.SetPeer(dst, 7)
 	return eng, p, dst
@@ -251,6 +252,7 @@ func testFabric(t *testing.T, cfg SwitchConfig, params *dcqcn.Params) (*eventsim
 	}
 	eng := eventsim.NewEngine(5)
 	sw := NewSwitch(eng, topo, topo.ToRs()[0], cfg, func() *dcqcn.Params { return params })
+	sw.SetLanes(NewLanes(eng))
 	sinks := make([]*sink, 2)
 	for i, h := range topo.Hosts() {
 		sinks[i] = &sink{eng: eng}

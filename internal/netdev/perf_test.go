@@ -41,6 +41,7 @@ func newForwardRig(counter *telemetry.Counter, prop eventsim.Time) *forwardRig {
 	pool := NewPacketPool()
 	port := NewEgressPort(eng, 100e9, prop, rand.New(rand.NewSource(1)))
 	port.SetPacketPool(pool)
+	port.SetLanes(NewLanes(eng))
 	sink := &poolSink{pool: pool, counter: counter}
 	port.SetPeer(sink, 0)
 	return &forwardRig{eng: eng, pool: pool, port: port, sink: sink}
@@ -68,7 +69,7 @@ func (r *forwardRig) sendBurst() {
 }
 
 // TestPortForwardZeroAlloc pins the acceptance criterion for the packet
-// free-lists: once the pool, the port's wire, and the engine's
+// free-lists: once the pool, the delivery lane, and the engine's
 // event slab are warm, forwarding a data packet — including the per-packet
 // telemetry counter increment — allocates nothing.
 func TestPortForwardZeroAlloc(t *testing.T) {
@@ -88,7 +89,7 @@ func TestPortForwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPortForwardBurstZeroAlloc pins the wire FIFO's steady state at
+// TestPortForwardBurstZeroAlloc pins the delivery lane's steady state at
 // depth: a burst fills a 100 Gbps, 5 µs link with ~60 frames in flight,
 // and once warm, pushing it through allocates nothing.
 func TestPortForwardBurstZeroAlloc(t *testing.T) {
@@ -147,8 +148,8 @@ func BenchmarkPortForward(b *testing.B) {
 }
 
 // BenchmarkPortForwardBurst is the wire-depth regime: bursts of 64 MTU
-// frames on a 100 Gbps, 5 µs link, so ~60 packets share the wire while
-// the link holds one delivery event. Reported per packet.
+// frames on a 100 Gbps, 5 µs link, so ~60 packets share the link's
+// delivery lane and none sits on the event heap. Reported per packet.
 func BenchmarkPortForwardBurst(b *testing.B) {
 	rig := newForwardRig(nil, 5*eventsim.Microsecond)
 	for i := 0; i < 4; i++ {

@@ -76,24 +76,32 @@ type EgressPort struct {
 
 	// Transmitter state for the persistent serialization-done handler:
 	// exactly one packet serializes at a time, so its queue entry, class,
-	// and the delivery delay captured at transmit start live in fields
-	// instead of a per-packet closure. txDoneEv is the last serialization
-	// timer; it has always fired by the next transmit (the transmitter is
+	// and the delivery lane (hence delay) captured at transmit start live
+	// in fields instead of a per-packet closure. txDoneEv is the last
+	// serialization timer; it has always fired by the next transmit (the transmitter is
 	// strictly one-at-a-time), so re-arming it through RearmAfter just
 	// recycles the same wheel slot run after run.
 	txDoneFn   eventsim.Handler
 	txDoneEv   eventsim.EventID
 	inflight   queueEntry
 	inflightCl int
-	inflightDl eventsim.Time
+	inflightLn *Lane
 
-	// wire holds the packets crossing the link and delivers them to the
-	// peer (SetPeer). Several can overlap: serialization of the next
-	// packet starts while earlier ones are still propagating.
-	wire Wire
+	// peer and peerPort are the far end of the link (SetPeer).
+	peer     Device
+	peerPort int
+
+	// lanes is the engine's delivery-lane set (SetLanes); packets cross
+	// the link on one of its lanes. dataLane carries prop+extraDelay,
+	// ctrlLane a PFC frame's serialization plus prop; both follow
+	// SetDegradation. Several packets can overlap on the link:
+	// serialization of the next starts while earlier ones propagate.
+	lanes    *Lanes
+	dataLane *Lane
+	ctrlLane *Lane
 
 	// keyBase, when nonzero, switches the port to keyed deliveries: every
-	// packet put on the wire is scheduled with structural key
+	// packet put on a lane is scheduled with structural key
 	// keyBase | emitSeq, so same-timestamp arrivals at the far end order
 	// by (source node, source port, emission number) instead of by engine
 	// insertion order. The sharded runtime keys every port; keyBase 0 is
@@ -101,7 +109,7 @@ type EgressPort struct {
 	keyBase uint64
 	emitSeq uint32
 	// remote, when set, intercepts deliveries instead of putting them on
-	// the local wire: the packet's arrival time and structural key
+	// a local lane: the packet's arrival time and structural key
 	// are handed to the sharded runtime, which batches them per shard
 	// pair and injects them into the destination engine at the next
 	// window boundary.
@@ -152,7 +160,6 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, rn
 	}
 	p := &EgressPort{eng: eng, rateBps: rateBps, prop: prop, rng: rng, up: true, rateFactor: 1}
 	p.txDoneFn = p.txDone
-	p.wire.init(eng)
 	return p
 }
 
@@ -160,6 +167,23 @@ func NewEgressPort(eng *eventsim.Engine, rateBps float64, prop eventsim.Time, rn
 // generated control frames through. Devices install their shared pool on
 // every port they own.
 func (p *EgressPort) SetPacketPool(pool *PacketPool) { p.pool = pool }
+
+// SetLanes installs the delivery-lane set of the port's engine, which
+// carries every packet the port puts on its link. Devices install one
+// set on every port they own; required before the first transmission.
+func (p *EgressPort) SetLanes(ls *Lanes) {
+	p.lanes = ls
+	p.pickLanes()
+}
+
+// pickLanes selects the lanes for the port's current delivery delays.
+func (p *EgressPort) pickLanes() {
+	if p.lanes == nil {
+		return
+	}
+	p.dataLane = p.lanes.lane(p.prop + p.extraDelay)
+	p.ctrlLane = p.lanes.lane(p.serialization(CtrlFrameBytes) + p.prop)
+}
 
 // LinkUp reports whether the link out of this port is up.
 func (p *EgressPort) LinkUp() bool { return p.up }
@@ -192,6 +216,7 @@ func (p *EgressPort) SetDegradation(rateFactor float64, extraDelay eventsim.Time
 	}
 	p.rateFactor = rateFactor
 	p.extraDelay = extraDelay
+	p.pickLanes()
 }
 
 // Degraded reports whether a degradation fault is active.
@@ -200,7 +225,7 @@ func (p *EgressPort) Degraded() bool { return p.rateFactor != 1 || p.extraDelay 
 // SetPeer wires the far end of the link: packets arrive at dev.Receive
 // with inPort = port.
 func (p *EgressPort) SetPeer(dev Device, port int) {
-	p.wire.dev, p.wire.port = dev, port
+	p.peer, p.peerPort = dev, port
 }
 
 // SetMarker installs the ECN marking law (switch CP behaviour). The
@@ -208,7 +233,7 @@ func (p *EgressPort) SetPeer(dev Device, port int) {
 func (p *EgressPort) SetMarker(m func(queueBytes int64) float64) { p.marker = m }
 
 // SetDeliveryKeying enables keyed deliveries for the port of the given
-// source node: wire arrivals carry DeliveryKey(node, port, emission#) so
+// source node: arrivals carry DeliveryKey(node, port, emission#) so
 // their order among same-timestamp events is structural. Must be set
 // before the first transmission; the sharded runtime keys every port.
 func (p *EgressPort) SetDeliveryKeying(node topology.NodeID, port int) {
@@ -333,14 +358,14 @@ func (p *EgressPort) TakeTxDataBytes() int64 {
 // SendPFC emits a PAUSE or RESUME control frame to the peer. PFC frames
 // bypass the queues; they only pay serialization plus propagation.
 func (p *EgressPort) SendPFC(pause bool, class int) {
-	if p.wire.dev == nil {
-		panic("netdev: SendPFC before SetPeer")
+	if p.peer == nil || p.lanes == nil {
+		panic("netdev: SendPFC before SetPeer and SetLanes")
 	}
 	frame := p.pool.Get()
 	frame.Kind, frame.WireBytes = KindPFC, CtrlFrameBytes
 	frame.Class, frame.Pause, frame.PauseClass = ClassCtrl, pause, class
 	p.Stats.PFCSent++
-	p.scheduleDelivery(frame, p.serialization(CtrlFrameBytes)+p.prop)
+	p.scheduleDelivery(frame, p.ctrlLane)
 }
 
 // kick starts the transmitter if idle and eligible traffic is queued.
@@ -373,8 +398,8 @@ func (p *EgressPort) next() (queueEntry, int, bool) {
 }
 
 func (p *EgressPort) transmit(e queueEntry, class int) {
-	if p.wire.dev == nil {
-		panic("netdev: transmit before SetPeer")
+	if p.peer == nil || p.lanes == nil {
+		panic("netdev: transmit before SetPeer and SetLanes")
 	}
 	pkt := e.pkt
 	if class == ClassData && p.marker != nil && pkt.Kind != KindPFC {
@@ -389,15 +414,15 @@ func (p *EgressPort) transmit(e queueEntry, class int) {
 	p.busy = true
 	p.inflight = e
 	p.inflightCl = class
-	// The delivery delay is captured now, not at serialization end, so a
-	// degradation fault applied mid-flight leaves this packet's arrival
-	// where the pre-change semantics put it.
-	p.inflightDl = p.prop + p.extraDelay
+	// The delivery lane, and so the delay, is captured now, not at
+	// serialization end, so a degradation fault applied mid-flight leaves
+	// this packet's arrival where the pre-change semantics put it.
+	p.inflightLn = p.dataLane
 	p.txDoneEv = p.eng.RearmAfter(p.txDoneEv, p.serialization(pkt.WireBytes), p.txDoneFn)
 }
 
 // txDone is the persistent serialization-complete handler: account the
-// departure, hand the packet to the wire, and restart the transmitter.
+// departure, put the packet on its lane, and restart the transmitter.
 func (p *EgressPort) txDone() {
 	e, class := p.inflight, p.inflightCl
 	p.inflight = queueEntry{}
@@ -407,7 +432,7 @@ func (p *EgressPort) txDone() {
 	if class == ClassData {
 		p.Stats.TxDataBytes += int64(pkt.WireBytes)
 	}
-	p.scheduleDelivery(pkt, p.inflightDl)
+	p.scheduleDelivery(pkt, p.inflightLn)
 	// Clear busy before the departure hook: hosts re-enter their flow
 	// scheduler from it and must see the port as free.
 	p.busy = false
@@ -417,11 +442,11 @@ func (p *EgressPort) txDone() {
 	p.kick()
 }
 
-// scheduleDelivery puts pkt on the wire: after delay it arrives at the
-// peer. Keyed ports rank the arrival by their emission key and, across a
-// shard boundary, hand it to the sharded runtime instead.
-func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
-	at := p.eng.Now() + delay
+// scheduleDelivery puts pkt on lane: it arrives at the peer after the
+// lane's delay. Keyed ports rank the arrival by their emission key and,
+// across a shard boundary, hand it to the sharded runtime instead.
+func (p *EgressPort) scheduleDelivery(pkt *Packet, lane *Lane) {
+	at := p.eng.Now() + lane.delay
 	var key uint64
 	if p.keyBase != 0 {
 		key = p.keyBase | uint64(p.emitSeq)
@@ -431,15 +456,16 @@ func (p *EgressPort) scheduleDelivery(pkt *Packet, delay eventsim.Time) {
 			return
 		}
 	}
-	p.wire.Put(pkt, at, key)
+	lane.Put(p, pkt, at, key)
 }
 
 // InFlightPackets counts packets this port currently owns: queued in a
-// class FIFO, mid-serialization, or crossing the wire.
-// sim.Network sums this over every port to check the packet-pool leak
-// invariant Fresh+Recycled == Puts + in-flight.
+// class FIFO or mid-serialization. Packets crossing the link sit on the
+// engine's shared lanes and are counted there (Lanes.Len). sim.Network
+// sums both to check the packet-pool leak invariant Fresh+Recycled ==
+// Puts + in-flight.
 func (p *EgressPort) InFlightPackets() int {
-	n := p.wire.Len()
+	n := 0
 	for c := range p.queues {
 		n += len(p.queues[c].entries) - p.queues[c].head
 	}

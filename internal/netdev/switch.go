@@ -111,6 +111,14 @@ func (s *Switch) SetPacketPool(pool *PacketPool) {
 	}
 }
 
+// SetLanes installs the engine's delivery-lane set on every egress port
+// of the switch.
+func (s *Switch) SetLanes(ls *Lanes) {
+	for _, p := range s.ports {
+		p.SetLanes(ls)
+	}
+}
+
 // NodeID reports which topology node this switch realizes.
 func (s *Switch) NodeID() topology.NodeID { return s.node }
 

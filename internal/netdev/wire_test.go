@@ -8,65 +8,78 @@ import (
 	"repro/internal/eventsim"
 )
 
-// wireDeparture is one packet put on the wire, as the reference model
-// sees it: when it left the port and when per-packet scheduling would
-// have delivered it.
+// wireDeparture is one packet put on a link, as the reference model sees
+// it: when per-packet scheduling would have delivered it.
 type wireDeparture struct {
 	pkt *Packet
 	at  eventsim.Time
 }
 
-// wireRig drives one port from a byte script and records every departure
-// and every arrival, so a run can be checked against the stream
-// per-packet scheduling produced: arrivals sorted by time, ties in
-// departure order.
+// wirePorts is the number of ports the rig drives over one lane set.
+const wirePorts = 2
+
+// wireRig drives two ports on one engine from a byte script. The ports
+// share one lane set, so their in-flight packets share lanes. The rig
+// records every departure and every arrival, so a run can be checked
+// against the stream per-packet scheduling produced: arrivals sorted by
+// time, ties in departure order across both ports.
 type wireRig struct {
-	eng  *eventsim.Engine
-	port *EgressPort
-	dst  *sink
-	deps []wireDeparture
-	sent int
+	eng   *eventsim.Engine
+	lanes *Lanes
+	pool  *PacketPool
+	ports [wirePorts]*EgressPort
+	dst   *sink
+	deps  []wireDeparture
+	sent  int
 }
 
 func newWireRig() *wireRig {
 	eng := eventsim.NewEngine(5)
-	port := NewEgressPort(eng, 100e9, 5*eventsim.Microsecond, eng.Rand())
-	dst := &sink{eng: eng}
-	port.SetPeer(dst, 0)
-	r := &wireRig{eng: eng, port: port, dst: dst}
-	// A data packet's arrival is its departure plus the delay the port
-	// captured when its serialization started.
-	port.SetOnDeparted(func(pkt *Packet, _ int) {
-		r.deps = append(r.deps, wireDeparture{pkt: pkt, at: eng.Now() + port.inflightDl})
-	})
+	r := &wireRig{eng: eng, lanes: NewLanes(eng), pool: NewPacketPool(), dst: &sink{eng: eng}}
+	for i := range r.ports {
+		port := NewEgressPort(eng, 100e9, 5*eventsim.Microsecond, eng.Rand())
+		port.SetPacketPool(r.pool)
+		port.SetLanes(r.lanes)
+		port.SetPeer(r.dst, i)
+		// A data packet's arrival is its departure plus the delay the
+		// port captured when its serialization started.
+		port.SetOnDeparted(func(pkt *Packet, _ int) {
+			r.deps = append(r.deps, wireDeparture{pkt: pkt, at: eng.Now() + port.inflightLn.delay})
+		})
+		r.ports[i] = port
+	}
 	return r
 }
 
-func (r *wireRig) enqueue(wireBytes int) {
+func (r *wireRig) enqueue(port *EgressPort, wireBytes int) {
 	r.sent++
-	r.port.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: wireBytes, Seq: int64(r.sent)}, -1)
+	port.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: wireBytes, Seq: int64(r.sent)}, -1)
 }
 
 // sendPFC emits a PFC frame and records its departure: it pays only its
-// own serialization and the propagation delay.
-func (r *wireRig) sendPFC() {
+// own serialization and the propagation delay. The pool is stocked with
+// a fresh frame first, so the frame SendPFC draws is known.
+func (r *wireRig) sendPFC(port *EgressPort) {
 	r.sent++
-	at := r.eng.Now() + r.port.serialization(CtrlFrameBytes) + r.port.prop
-	r.port.SendPFC(r.sent%2 == 0, ClassData)
-	// The frame holds the wire's newest reservation; a sorted insert may
-	// have put it anywhere in the queue.
-	w := &r.port.wire
-	newest := w.head
-	for i := w.head; i < len(w.q); i++ {
-		if w.q[i].seq > w.q[newest].seq {
-			newest = i
-		}
-	}
-	r.deps = append(r.deps, wireDeparture{pkt: w.q[newest].pkt, at: at})
+	frame := &Packet{}
+	r.pool.Put(frame)
+	at := r.eng.Now() + port.serialization(CtrlFrameBytes) + port.prop
+	port.SendPFC(r.sent%2 == 0, ClassData)
+	r.deps = append(r.deps, wireDeparture{pkt: frame, at: at})
 }
 
-// Wire-order script ops. Each op takes three bytes (op, a, b) and every
-// byte string decodes to a valid script.
+// inFlight counts the packets the ports and lanes hold.
+func (r *wireRig) inFlight() int {
+	n := r.lanes.Len()
+	for _, p := range r.ports {
+		n += p.InFlightPackets()
+	}
+	return n
+}
+
+// Wire-order script ops. Each op takes three bytes (op, a, b): op%wopCount
+// picks the op and op/wopCount%wirePorts the port it acts on. Every byte
+// string decodes to a valid script.
 const (
 	wopEnqueue = iota // data packet of 64..4159 bytes
 	wopAdvance        // run a·b ns ahead
@@ -78,48 +91,54 @@ const (
 	wopCount
 )
 
-// run decodes and applies script, drains the port, and checks the
+// run decodes and applies script, drains the ports, and checks the
 // arrivals against the reference stream.
 func (r *wireRig) run(t *testing.T, script []byte) {
 	t.Helper()
 	for ; len(script) >= 3; script = script[3:] {
 		op, a, b := int(script[0])%wopCount, int(script[1]), int(script[2])
+		port := r.ports[int(script[0])/wopCount%wirePorts]
 		switch op {
 		case wopEnqueue:
-			r.enqueue(64 + a<<4 + b%16)
+			r.enqueue(port, 64+a<<4+b%16)
 		case wopAdvance:
 			r.eng.RunUntil(r.eng.Now() + eventsim.Time(a*b))
 		case wopPFC:
-			r.sendPFC()
+			r.sendPFC(port)
 		case wopPFCLast:
 			if next, ok := r.eng.NextEventTime(); ok && next > r.eng.Now() {
 				r.eng.RunUntil(next - 1)
 			}
-			r.sendPFC()
+			r.sendPFC(port)
 		case wopDegrade:
 			factor := 1.0
 			if b%2 == 1 {
 				factor = 0.5
 			}
-			r.port.SetDegradation(factor, eventsim.Time(a)*20)
+			port.SetDegradation(factor, eventsim.Time(a)*20)
 		case wopLink:
-			r.port.SetLinkUp(!r.port.LinkUp())
+			port.SetLinkUp(!port.LinkUp())
 		case wopStep:
 			r.eng.Step()
 		}
-		if got, want := r.port.InFlightPackets(), r.sent-len(r.dst.pkts); got != want {
-			t.Fatalf("InFlightPackets = %d, want %d (sent %d, arrived %d)", got, want, r.sent, len(r.dst.pkts))
+		if got, want := r.inFlight(), r.sent-len(r.dst.pkts); got != want {
+			t.Fatalf("in flight = %d, want %d (sent %d, arrived %d)", got, want, r.sent, len(r.dst.pkts))
 		}
 	}
-	r.port.SetLinkUp(true)
-	r.port.SetDegradation(1, 0)
+	for _, p := range r.ports {
+		p.SetLinkUp(true)
+		p.SetDegradation(1, 0)
+	}
 	r.eng.Run()
 
 	if len(r.dst.pkts) != r.sent || len(r.deps) != r.sent {
 		t.Fatalf("sent %d, departed %d, arrived %d", r.sent, len(r.deps), len(r.dst.pkts))
 	}
-	if n := r.port.InFlightPackets(); n != 0 {
-		t.Fatalf("InFlightPackets = %d after drain", n)
+	if n := r.inFlight(); n != 0 {
+		t.Fatalf("in flight = %d after drain", n)
+	}
+	if n := r.eng.Pending(); n != 0 {
+		t.Fatalf("%d events pending after drain", n)
 	}
 	want := append([]wireDeparture(nil), r.deps...)
 	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
@@ -131,16 +150,18 @@ func (r *wireRig) run(t *testing.T, script []byte) {
 	}
 }
 
-// FuzzWireOrder checks the wire against per-packet scheduling on
-// arbitrary scripts of enqueues, PFC frames (including in the last ns of
-// a serialization), degradation raised and healed mid-flight, and link
-// flaps: every packet arrives at its departure plus its captured delay,
-// and same-instant arrivals keep departure order. The seed corpus in
-// testdata/fuzz/FuzzWireOrder holds the two non-monotone cases as
-// scripts: pfc-overtaken (a 1000-byte frame, then a PFC frame in its last
-// ns, twice) and heal-mid-flight (three frames under +2 µs extra delay,
-// healed while they are on the wire, then three more, a PFC frame and a
-// link flap).
+// FuzzWireOrder checks shared delivery lanes against per-packet
+// scheduling on arbitrary scripts over two ports: enqueues, PFC frames
+// (including in the last ns of a serialization), degradation raised and
+// healed mid-flight, and link flaps. Every packet arrives at its
+// departure plus its captured delay, and same-instant arrivals keep
+// departure order. The seed corpus in testdata/fuzz/FuzzWireOrder holds
+// the two cases where one link's arrivals overtake each other:
+// pfc-overtaken (1000-byte frames on both ports, each followed by a PFC
+// frame in the last ns of a serialization, which the frame overtakes)
+// and heal-mid-flight (frames on both ports under +2 µs extra delay, one
+// port healed while they are in flight and more frames sent, a PFC
+// frame, a link flap, then the other port healed).
 func FuzzWireOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, script []byte) {
@@ -162,9 +183,10 @@ func TestWireRandomScripts(t *testing.T) {
 	}
 }
 
-// TestWirePFCOvertakenByData pins the first non-monotone case: a PFC
-// frame sent in the last nanosecond of a data frame's serialization
-// arrives after that frame, which becomes the new head of the wire.
+// TestWirePFCOvertakenByData pins the first case where a link's arrivals
+// overtake each other: a PFC frame sent in the last nanosecond of a data
+// frame's serialization arrives after that frame. The two ride different
+// lanes, and the engine's merge orders them.
 func TestWirePFCOvertakenByData(t *testing.T) {
 	eng, p, dst := newPort(t, 100e9, eventsim.Microsecond)
 	p.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: 1000}, -1) // 80 ns
@@ -183,7 +205,8 @@ func TestWirePFCOvertakenByData(t *testing.T) {
 }
 
 // TestWireDegradationHealedMidFlight pins the second: a packet that left
-// under a large extra delay is overtaken by one sent after the heal.
+// under a large extra delay, on that delay's lane, is overtaken by one
+// sent after the heal on the propagation-delay lane.
 func TestWireDegradationHealedMidFlight(t *testing.T) {
 	eng, p, dst := newPort(t, 1e9, eventsim.Microsecond)
 	p.SetDegradation(1, 20*eventsim.Microsecond)
@@ -206,23 +229,27 @@ func TestWireDegradationHealedMidFlight(t *testing.T) {
 	}
 }
 
-// TestWireOneEventPerLink checks the point of the wire: however many
-// packets are in flight, the link holds one engine event.
-func TestWireOneEventPerLink(t *testing.T) {
-	eng, p, dst := newPort(t, 100e9, 5*eventsim.Microsecond)
+// TestLanesOnePendingPerDelay checks the point of shared lanes: however
+// many packets two ports have in flight, the ones sharing a delivery delay
+// sit on one lane, which the engine counts as one pending event, and
+// none of them is on the heap.
+func TestLanesOnePendingPerDelay(t *testing.T) {
+	r := newWireRig()
 	for i := 0; i < 64; i++ {
-		p.Enqueue(&Packet{Kind: KindData, Class: ClassData, WireBytes: DefaultMTU}, -1)
+		for _, p := range r.ports {
+			r.enqueue(p, DefaultMTU)
+		}
 	}
-	eng.RunUntil(5 * eventsim.Microsecond)
-	if n := p.wire.Len(); n < 50 {
-		t.Fatalf("%d packets on the wire, want a full pipe", n)
+	r.eng.RunUntil(5 * eventsim.Microsecond)
+	if n := r.lanes.Len(); n < 100 {
+		t.Fatalf("%d packets in flight, want two full pipes", n)
 	}
-	// One transmitter timer plus the head of the wire.
-	if n := eng.Pending(); n != 2 {
-		t.Errorf("%d events pending, want 2", n)
+	// One transmitter timer per port plus the shared data lane.
+	if n := r.eng.Pending(); n != wirePorts+1 {
+		t.Errorf("%d events pending, want %d", n, wirePorts+1)
 	}
-	eng.Run()
-	if len(dst.pkts) != 64 {
-		t.Fatalf("delivered %d packets, want 64", len(dst.pkts))
+	r.eng.Run()
+	if len(r.dst.pkts) != 64*wirePorts {
+		t.Fatalf("delivered %d packets, want %d", len(r.dst.pkts), 64*wirePorts)
 	}
 }

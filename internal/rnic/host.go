@@ -153,6 +153,9 @@ func (h *Host) SetPacketPool(pool *netdev.PacketPool) {
 	h.port.SetPacketPool(pool)
 }
 
+// SetLanes installs the engine's delivery-lane set on the uplink port.
+func (h *Host) SetLanes(ls *netdev.Lanes) { h.port.SetLanes(ls) }
+
 // NodeID reports the topology node this RNIC serves.
 func (h *Host) NodeID() topology.NodeID { return h.node }
 

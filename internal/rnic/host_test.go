@@ -51,8 +51,10 @@ func newRig(t *testing.T, p dcqcn.Params) *rig {
 	onDone := func(id uint64, src, dst topology.NodeID, size int64, start, end eventsim.Time) {
 		r.done = append(r.done, id)
 	}
+	lanes := netdev.NewLanes(r.eng)
 	for i, hn := range topo.Hosts() {
 		h := NewHost(r.eng, topo, hn, func() *dcqcn.Params { return r.params }, onDone)
+		h.SetLanes(lanes)
 		h.Port().SetPeer(r.relay, i)
 		r.hosts[i] = h
 		r.relay.hosts[i] = h

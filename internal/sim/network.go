@@ -92,6 +92,10 @@ type Network struct {
 	// therefore a pool. In sharded mode this is nil and each shard owns a
 	// pool instead (see shardRuntime).
 	pool *netdev.PacketPool
+	// lanes is the engine's delivery-lane set, installed on every port:
+	// it holds every packet crossing a link. nil in sharded mode, where
+	// each shard engine owns a set.
+	lanes *netdev.Lanes
 
 	// shard is non-nil when the network runs sharded (Config.Shards > 0).
 	shard *shardRuntime
@@ -160,12 +164,14 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	n.pool = netdev.NewPacketPool()
+	n.lanes = netdev.NewLanes(eng)
 	for _, sn := range topo.SwitchIDs() {
 		sp := cfg.Params
 		spp := &sp
 		n.switchParams[sn] = spp
 		sw := netdev.NewSwitch(eng, topo, sn, cfg.Switch, func() *dcqcn.Params { return spp })
 		sw.SetPacketPool(n.pool)
+		sw.SetLanes(n.lanes)
 		n.Switches = append(n.Switches, sw)
 		n.switchByNode[sn] = sw
 	}
@@ -182,6 +188,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		h.SetTimerSuppression(cfg.SuppressQuiescentTimers)
 		h.SetPacketPool(n.pool)
+		h.SetLanes(n.lanes)
 		n.Hosts = append(n.Hosts, h)
 		n.hostByNode[hn] = h
 	}
@@ -467,9 +474,9 @@ func (n *Network) PacketPools() []*netdev.PacketPool {
 }
 
 // PacketsInNetwork counts packets currently alive in the fabric: queued
-// at a port, mid-serialization, crossing a wire, or held by the shard
-// handoff machinery. Every such packet came from a pool Get and has not
-// yet been Put.
+// at a port, mid-serialization, crossing a link on a delivery lane, or
+// held by the shard handoff machinery. Every such packet came from a
+// pool Get and has not yet been Put.
 func (n *Network) PacketsInNetwork() int {
 	total := 0
 	for _, sw := range n.Switches {
@@ -480,6 +487,8 @@ func (n *Network) PacketsInNetwork() int {
 	}
 	if n.shard != nil {
 		total += n.shard.outstanding()
+	} else {
+		total += n.lanes.Len()
 	}
 	return total
 }

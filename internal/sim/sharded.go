@@ -13,15 +13,16 @@ import (
 )
 
 // shardRuntime is the sharded execution state of a Network built with
-// Config.Shards > 0: one engine and packet pool per ToR-pod shard, the
-// cross-shard handoff queues, and the deferred flow-completion buffers.
-// The coordinator (internal/eventsim/shard) drives the window loop; this
+// Config.Shards > 0: one engine, packet pool and delivery-lane set per
+// ToR-pod shard, the cross-shard handoff queues, and the deferred
+// flow-completion buffers. The coordinator (internal/eventsim/shard) drives the window loop; this
 // type supplies the fabric-specific barrier work.
 type shardRuntime struct {
 	n       *Network
 	coord   *shard.Coordinator
 	engines []*eventsim.Engine
 	pools   []*netdev.PacketPool
+	lanes   []*netdev.Lanes
 	part    []int
 	nshards int
 
@@ -29,10 +30,10 @@ type shardRuntime struct {
 	// during the current window. Appended only by shard s's worker,
 	// drained only by the coordinator at the barrier — no lock needed.
 	out [][]handoff
-	// inboxes[i] is the receiving end of one cross-shard link direction:
-	// a wire on the destination shard's engine, fed at the barrier.
-	inboxes []*netdev.Wire
-	sorted  []handoff // barrier merge scratch
+	// inbox[s] is shard s's receiving end of every cross-shard link: one
+	// lane on its engine, fed at the barrier in (at, key) order.
+	inbox  []*netdev.Lane
+	sorted []handoff // barrier merge scratch
 
 	// deferred[s] buffers flow completions raised on shard s during a
 	// window. Completion hooks are global (they may start flows on other
@@ -41,13 +42,15 @@ type shardRuntime struct {
 	deferred [][]FlowRecord
 }
 
-// handoff is one packet crossing a shard boundary: where it is going
-// (inbox), when it arrives, and its structural ordering key.
+// handoff is one packet crossing a shard boundary: the port it left
+// (whose peer receives it), its destination shard, when it arrives, and
+// its structural ordering key.
 type handoff struct {
-	pkt   *netdev.Packet
-	at    eventsim.Time
-	key   uint64
-	inbox int32
+	pkt  *netdev.Packet
+	from *netdev.EgressPort
+	at   eventsim.Time
+	key  uint64
+	dst  int32
 }
 
 // buildSharded constructs the sharded form of the network: called by New
@@ -63,6 +66,8 @@ func (n *Network) buildSharded() error {
 		n: n, part: part, nshards: nshards,
 		engines:  make([]*eventsim.Engine, nshards),
 		pools:    make([]*netdev.PacketPool, nshards),
+		lanes:    make([]*netdev.Lanes, nshards),
+		inbox:    make([]*netdev.Lane, nshards),
 		out:      make([][]handoff, nshards),
 		deferred: make([][]FlowRecord, nshards),
 	}
@@ -72,6 +77,8 @@ func (n *Network) buildSharded() error {
 		// need to exist, not to match anything.
 		rt.engines[s] = eventsim.NewEngine(cfg.Seed + int64(s) + 1)
 		rt.pools[s] = netdev.NewPacketPool()
+		rt.lanes[s] = netdev.NewLanes(rt.engines[s])
+		rt.inbox[s] = netdev.NewLane(rt.engines[s])
 	}
 	n.shard = rt
 
@@ -85,6 +92,7 @@ func (n *Network) buildSharded() error {
 		n.switchParams[sn] = spp
 		sw := netdev.NewSwitchSeeded(rt.engines[part[sn]], n.Eng, topo, sn, cfg.Switch, func() *dcqcn.Params { return spp })
 		sw.SetPacketPool(rt.pools[part[sn]])
+		sw.SetLanes(rt.lanes[part[sn]])
 		n.Switches = append(n.Switches, sw)
 		n.switchByNode[sn] = sw
 	}
@@ -104,6 +112,7 @@ func (n *Network) buildSharded() error {
 		}
 		h.SetTimerSuppression(cfg.SuppressQuiescentTimers)
 		h.SetPacketPool(rt.pools[s])
+		h.SetLanes(rt.lanes[s])
 		n.Hosts = append(n.Hosts, h)
 		n.hostByNode[hn] = h
 	}
@@ -121,8 +130,8 @@ func (n *Network) buildSharded() error {
 		portA.SetDeliveryKeying(l.A, l.APort)
 		portB.SetDeliveryKeying(l.B, l.BPort)
 		if part[l.A] != part[l.B] {
-			rt.wireRemote(portA, part[l.A], part[l.B], devB, l.BPort)
-			rt.wireRemote(portB, part[l.B], part[l.A], devA, l.APort)
+			rt.wireRemote(portA, part[l.A], part[l.B])
+			rt.wireRemote(portB, part[l.B], part[l.A])
 		}
 	}
 
@@ -130,13 +139,12 @@ func (n *Network) buildSharded() error {
 	return nil
 }
 
-// wireRemote points a cross-shard egress port at its shard's outbox and
-// registers the destination-side inbox.
-func (rt *shardRuntime) wireRemote(src *netdev.EgressPort, srcShard, dstShard int, dev netdev.Device, port int) {
-	idx := int32(len(rt.inboxes))
-	rt.inboxes = append(rt.inboxes, netdev.NewWire(rt.engines[dstShard], dev, port))
+// wireRemote points a cross-shard egress port at its shard's outbox,
+// bound for the destination shard's inbox.
+func (rt *shardRuntime) wireRemote(src *netdev.EgressPort, srcShard, dstShard int) {
+	dst := int32(dstShard)
 	src.SetRemoteHandoff(func(pkt *netdev.Packet, at eventsim.Time, key uint64) {
-		rt.out[srcShard] = append(rt.out[srcShard], handoff{pkt: pkt, at: at, key: key, inbox: idx})
+		rt.out[srcShard] = append(rt.out[srcShard], handoff{pkt: pkt, from: src, at: at, key: key, dst: dst})
 	})
 }
 
@@ -161,8 +169,8 @@ func (rt *shardRuntime) barrier() {
 		})
 		for i := range rt.sorted {
 			h := &rt.sorted[i]
-			rt.inboxes[h.inbox].Put(h.pkt, h.at, h.key)
-			h.pkt = nil
+			rt.inbox[h.dst].Put(h.from, h.pkt, h.at, h.key)
+			h.pkt, h.from = nil, nil
 		}
 	}
 
@@ -190,16 +198,13 @@ func (rt *shardRuntime) barrier() {
 	}
 }
 
-// outstanding counts packets held by the shard machinery itself: sitting
-// in an outbox awaiting the barrier, or on an inbox wire but not yet
-// delivered.
+// outstanding counts packets on the shards' lanes: sitting in an outbox
+// awaiting the barrier, on an inbox lane, or crossing a link within a
+// shard.
 func (rt *shardRuntime) outstanding() int {
 	total := 0
 	for s := range rt.out {
-		total += len(rt.out[s])
-	}
-	for _, b := range rt.inboxes {
-		total += b.Len()
+		total += len(rt.out[s]) + rt.inbox[s].Len() + rt.lanes[s].Len()
 	}
 	return total
 }

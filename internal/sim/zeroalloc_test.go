@@ -49,7 +49,7 @@ func testSteadyStateZeroAlloc(t *testing.T, cfg sim.Config) {
 		n.StartFlow(hosts[i], hosts[4], 1<<40)
 	}
 	// Warm up past slow start into the congested steady state: slabs,
-	// queues, pool, and wires all reach their high-water marks.
+	// queues, pool, and delivery lanes all reach their high-water marks.
 	n.Run(2 * eventsim.Millisecond)
 	if n.ActiveFlows() != 3 {
 		t.Fatalf("ActiveFlows=%d, want 3 (flows must outlive the test)", n.ActiveFlows())
